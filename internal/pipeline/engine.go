@@ -55,8 +55,10 @@ func (p *Pipeline) commit(now int64, r *StepResult) {
 			p.lsqCount--
 		}
 		e.valid = false
-		e.dependents = e.dependents[:0]
-		p.head = (p.head + 1) % p.cfg.RUUSize
+		p.head++
+		if p.head == p.cfg.RUUSize {
+			p.head = 0
+		}
 		p.count--
 		p.stats.Committed++
 		r.Committed++
@@ -106,6 +108,9 @@ func (p *Pipeline) complete(idx int, r *StepResult) {
 		if d.valid && d.pendingSrcs > 0 {
 			d.pendingSrcs--
 			r.Activity.Wakeups++
+			if d.pendingSrcs == 0 {
+				p.markReady(int32(dep))
+			}
 		}
 	}
 	e.dependents = e.dependents[:0]
@@ -116,28 +121,35 @@ func (p *Pipeline) complete(idx int, r *StepResult) {
 	}
 }
 
+// markReady inserts RUU entry idx, whose last source just arrived, into
+// the ready list at its age (seq) position. Wakeups mostly reach young
+// entries, so the insertion scans from the tail.
+func (p *Pipeline) markReady(idx int32) {
+	seq := p.ruu[idx].seq
+	i := len(p.ready)
+	p.ready = append(p.ready, idx)
+	for ; i > 0 && p.ruu[p.ready[i-1]].seq > seq; i-- {
+		p.ready[i] = p.ready[i-1]
+	}
+	p.ready[i] = idx
+}
+
 // issue selects ready instructions oldest-first, honoring issue width and
-// functional-unit availability. The unissued list holds exactly the
-// not-yet-issued window entries in age order, so the walk skips the
-// already-issued bulk of the window.
+// functional-unit availability. The ready list holds exactly the unissued
+// window entries with all their sources, in age order, so the walk never
+// touches entries still waiting on a producer. An entry that fails to
+// issue (FU busy, MSHR full, older store address unknown) stays listed.
 func (p *Pipeline) issue(now int64, r *StepResult) {
 	issued := 0
-	kept := p.unissued[:0]
-	for qi, idx := range p.unissued {
+	kept := p.ready[:0]
+	for qi, idx := range p.ready {
 		if issued >= p.cfg.IssueWidth {
 			// Width exhausted: keep the rest untouched (src region is at
 			// or after the dst region, so the in-place copy is safe).
-			kept = append(kept, p.unissued[qi:]...)
+			kept = append(kept, p.ready[qi:]...)
 			break
 		}
 		e := &p.ruu[idx]
-		if !e.valid {
-			continue
-		}
-		if e.pendingSrcs > 0 {
-			kept = append(kept, idx)
-			continue
-		}
 		ok := true
 		switch e.inst.Op {
 		case isa.OpLoad:
@@ -166,7 +178,7 @@ func (p *Pipeline) issue(now int64, r *StepResult) {
 			r.Activity.LSQOps++
 		}
 	}
-	p.unissued = kept
+	p.ready = kept
 }
 
 // takeFU reserves a functional unit for op; it returns false if none is
@@ -195,7 +207,6 @@ func (p *Pipeline) tryIssueALU(idx int, r *StepResult) bool {
 	if !p.takeFU(e.inst.Op) {
 		return false
 	}
-	e.issued = true
 	e.execLeft = e.inst.Op.Latency()
 	r.Activity.FUOps[e.inst.Op.Pool()]++
 	return true
@@ -229,7 +240,6 @@ func (p *Pipeline) tryIssueLoad(idx int, now int64, r *StepResult) bool {
 		return false
 	}
 	if forward {
-		e.issued = true
 		e.execLeft = 2 // address generation + LSQ forward
 		p.stats.LoadFwds++
 		r.Activity.FUOps[isa.FUIntALU]++
@@ -243,7 +253,6 @@ func (p *Pipeline) tryIssueLoad(idx int, now int64, r *StepResult) bool {
 		// next cycle.
 		return false
 	}
-	e.issued = true
 	p.stats.Loads++
 	r.Activity.FUOps[isa.FUIntALU]++
 	r.Activity.DL1Access++
@@ -265,7 +274,6 @@ func (p *Pipeline) issuePrefetch(idx int, now int64, r *StepResult) {
 	// full MSHR simply drops the prefetch.
 	p.port.Load(e.inst.Addr, uint64(idx), true, now)
 	p.stats.Prefetches++
-	e.issued = true
 	e.execLeft = 1
 	r.Activity.FUOps[isa.FUIntALU]++
 	r.Activity.DL1Access++
@@ -274,8 +282,8 @@ func (p *Pipeline) issuePrefetch(idx int, now int64, r *StepResult) {
 // dispatch moves decoded instructions from the fetch queue into the RUU,
 // performing renaming.
 func (p *Pipeline) dispatch(r *StepResult) {
-	for n := 0; n < p.cfg.DecodeWidth && len(p.fq) > 0; n++ {
-		fe := &p.fq[0]
+	for n := 0; n < p.cfg.DecodeWidth && p.fqLen > 0; n++ {
+		fe := &p.fq[p.fqHead]
 		if fe.fetchedAt >= p.step {
 			return // fetched this very cycle; visible to decode next cycle
 		}
@@ -288,14 +296,20 @@ func (p *Pipeline) dispatch(r *StepResult) {
 			return
 		}
 		idx := p.tail
+		// Reuse the entry in place, field by field: a composite-literal
+		// assignment would copy the whole entry through a temporary.
 		e := &p.ruu[idx]
-		*e = ruuEntry{
-			valid:        true,
-			seq:          fe.seq,
-			inst:         fe.inst,
-			mispredicted: fe.mispred,
-			dependents:   e.dependents[:0],
-		}
+		e.valid = true
+		e.seq = fe.seq
+		e.inst = fe.inst
+		e.pendingSrcs = 0
+		e.completed = false
+		e.execLeft = 0
+		e.waitingMem = false
+		e.memDone = false
+		e.addrKnown = false
+		e.mispredicted = fe.mispred
+		e.dependents = e.dependents[:0]
 		// Rename: link to in-flight producers.
 		for _, src := range [2]isa.Reg{fe.inst.Src1, fe.inst.Src2} {
 			if !src.Valid() {
@@ -326,13 +340,24 @@ func (p *Pipeline) dispatch(r *StepResult) {
 				idx:   int32(idx),
 			})
 		}
-		p.unissued = append(p.unissued, int32(idx))
-		p.tail = (p.tail + 1) % p.cfg.RUUSize
+		if e.pendingSrcs == 0 {
+			// Dispatch runs after issue and appends the youngest entry, so
+			// a plain append keeps the ready list in age order.
+			p.ready = append(p.ready, int32(idx))
+		}
+		p.tail++
+		if p.tail == p.cfg.RUUSize {
+			p.tail = 0
+		}
 		p.count++
 		p.stats.Dispatched++
 		r.Activity.Decoded++
 		r.Activity.Renamed++
-		p.fq = p.fq[:copy(p.fq, p.fq[1:])]
+		p.fqHead++
+		if p.fqHead == len(p.fq) {
+			p.fqHead = 0
+		}
+		p.fqLen--
 	}
 }
 
@@ -354,12 +379,21 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 	blockMask := ^uint64(p.cfg.FetchBlockBytes - 1)
 	var curBlock uint64
 	first := true
-	for n := 0; n < p.cfg.FetchWidth && len(p.fq) < p.cfg.FetchQueueSize; n++ {
+	for n := 0; n < p.cfg.FetchWidth && p.fqLen < len(p.fq); n++ {
+		// The next instruction is read straight into the ring's free tail
+		// slot. When the fetch block ends first it stays there, peeked
+		// (havePending): dispatch pops only from the head, so the tail
+		// slot is unchanged until the next push.
+		slot := p.fqHead + p.fqLen
+		if slot >= len(p.fq) {
+			slot -= len(p.fq)
+		}
+		fe := &p.fq[slot]
 		if !p.havePending {
-			p.src.Next(&p.pending)
+			p.src.Next(&fe.inst)
 			p.havePending = true
 		}
-		blk := p.pending.PC & blockMask
+		blk := fe.inst.PC & blockMask
 		if first {
 			res := p.port.IFetch(blk, now)
 			r.Activity.IL1Access++
@@ -375,10 +409,12 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 		} else if blk != curBlock {
 			return // next block starts next cycle
 		}
-		inst := p.pending
+		inst := &fe.inst
 		p.havePending = false
 		p.nextSeq++
-		fe := fqEntry{inst: inst, seq: p.nextSeq, fetchedAt: p.step}
+		fe.seq = p.nextSeq
+		fe.fetchedAt = p.step
+		fe.mispred = false
 		stop := false
 		if inst.Op == isa.OpBranch {
 			p.stats.Branches++
@@ -396,7 +432,7 @@ func (p *Pipeline) fetch(now int64, r *StepResult) {
 				stop = true // correctly-predicted taken: redirect next cycle
 			}
 		}
-		p.fq = append(p.fq, fe)
+		p.fqLen++
 		p.stats.Fetched++
 		r.Activity.Fetched++
 		if stop {

@@ -176,22 +176,21 @@ func (s Stats) IPC() float64 {
 
 // ruuEntry is one in-flight instruction.
 type ruuEntry struct {
-	valid bool
-	seq   uint64
-	inst  isa.Inst
+	seq        uint64
+	inst       isa.Inst
+	dependents []int
 
 	pendingSrcs int
-	issued      bool
-	completed   bool
 	// execLeft counts down pipeline cycles after issue; the entry completes
 	// when it reaches zero (memory ops that miss set waitingMem instead).
-	execLeft   int
-	waitingMem bool
-	memDone    bool
-	addrKnown  bool
+	execLeft int
 
+	valid        bool
+	completed    bool
+	waitingMem   bool
+	memDone      bool
+	addrKnown    bool
 	mispredicted bool
-	dependents   []int
 }
 
 // StepResult summarizes one pipeline cycle for the VSV controller and the
@@ -226,9 +225,12 @@ type Pipeline struct {
 	// Rename: architectural register → RUU index of last writer (-1 none).
 	lastWriter [isa.NumRegs]int
 
-	// Fetch queue.
+	// Fetch queue: a ring of FetchQueueSize slots holding fqLen entries
+	// from fqHead. havePending means the free slot after the last entry
+	// already holds the next instruction, peeked from src.
 	fq          []fqEntry
-	pending     isa.Inst // next unfetched instruction (peeked from src)
+	fqHead      int
+	fqLen       int
 	havePending bool
 
 	// Fetch stall state.
@@ -253,10 +255,12 @@ type Pipeline struct {
 	storeQ     []storeRef
 	storeQHead int
 
-	// unissued lists RUU indices awaiting issue, in age order (dispatch
-	// appends; issue compacts). It spares the issue stage from re-walking
-	// already-issued window entries every cycle.
-	unissued []int32
+	// ready lists the unissued RUU indices whose sources are all
+	// available, in age order: dispatch appends an entry born ready,
+	// complete inserts one when its last source wakes it, and issue
+	// compacts out the entries it issues. The issue stage walks only this
+	// list, never the entries still waiting on a producer.
+	ready []int32
 
 	// execList lists RUU indices that are issued but not yet completed, so
 	// writeback touches only executing entries instead of the full window.
@@ -291,7 +295,7 @@ func New(cfg Config, src InstSource, pred *branch.Predictor, port MemPort) *Pipe
 
 // Reset reinitializes the pipeline in place to the state of
 // New(cfg, src, pred, port), reusing the RUU, fetch-queue, store-queue,
-// FU-pool and issue-list backing arrays when the geometry is unchanged.
+// FU-pool and ready/exec-list backing arrays when the geometry is unchanged.
 // Per-entry dependent lists keep their backing across runs.
 func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, port MemPort) {
 	if err := cfg.Validate(); err != nil {
@@ -316,12 +320,10 @@ func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, por
 	for i := range p.lastWriter {
 		p.lastWriter[i] = -1
 	}
-	if cap(p.fq) < cfg.FetchQueueSize {
-		p.fq = make([]fqEntry, 0, cfg.FetchQueueSize)
-	} else {
-		p.fq = p.fq[:0]
+	if len(p.fq) != cfg.FetchQueueSize {
+		p.fq = make([]fqEntry, cfg.FetchQueueSize)
 	}
-	p.pending = isa.Inst{}
+	p.fqHead, p.fqLen = 0, 0
 	p.havePending = false
 	p.waitingIFetch = false
 	p.mispredictSeq = 0
@@ -338,11 +340,11 @@ func (p *Pipeline) Reset(cfg Config, src InstSource, pred *branch.Predictor, por
 		p.storeQ = p.storeQ[:0]
 	}
 	p.storeQHead = 0
-	if cap(p.unissued) < cfg.RUUSize {
-		p.unissued = make([]int32, 0, cfg.RUUSize)
+	if cap(p.ready) < cfg.RUUSize {
+		p.ready = make([]int32, 0, cfg.RUUSize)
 		p.execList = make([]int32, 0, cfg.RUUSize)
 	} else {
-		p.unissued = p.unissued[:0]
+		p.ready = p.ready[:0]
 		p.execList = p.execList[:0]
 	}
 	p.stats = Stats{}
@@ -375,11 +377,7 @@ func (p *Pipeline) Stats() Stats { return p.stats }
 
 // ResetStats clears the counters at the end of warm-up. Microarchitectural
 // state (RUU contents, predictor training, fetch position) persists.
-func (p *Pipeline) ResetStats() {
-	steps := p.stats.Steps
-	p.stats = Stats{}
-	_ = steps
-}
+func (p *Pipeline) ResetStats() { p.stats = Stats{} }
 
 // Committed returns the number of retired instructions.
 func (p *Pipeline) Committed() uint64 { return p.stats.Committed }

@@ -37,22 +37,19 @@ func (p *Pipeline) Quiesced() bool {
 			return false
 		}
 	}
-	// Issue: every unissued entry must lack source operands. An entry with
-	// pendingSrcs == 0 would attempt issue — even a failed attempt (FU
-	// busy, MSHR full, unknown store address) probes structures or the
-	// memory port every cycle.
-	for _, idx := range p.unissued {
-		e := &p.ruu[idx]
-		if !e.valid || e.pendingSrcs == 0 {
-			return false
-		}
+	// Issue: the ready list must be empty. A ready entry would attempt
+	// issue — even a failed attempt (FU busy, MSHR full, unknown store
+	// address) probes structures or the memory port every cycle — and
+	// only a writeback or a dispatch, both ruled out here, lists another.
+	if len(p.ready) > 0 {
+		return false
 	}
 	// Dispatch: the fetch-queue head must be blocked by a full RUU or LSQ.
 	// (The fetchedAt same-cycle condition is transient — it clears after
 	// one Step — and never holds between Steps; treated as not quiesced
 	// for safety.)
-	if len(p.fq) > 0 {
-		fe := &p.fq[0]
+	if p.fqLen > 0 {
+		fe := &p.fq[p.fqHead]
 		if fe.fetchedAt >= p.step {
 			return false
 		}
@@ -70,7 +67,7 @@ func (p *Pipeline) Quiesced() bool {
 	case p.waitingIFetch, p.haveMispredict:
 	case p.step < p.fetchResumeStep:
 		return false
-	case len(p.fq) < p.cfg.FetchQueueSize:
+	case p.fqLen < len(p.fq):
 		return false
 	}
 	return true
@@ -95,12 +92,12 @@ func (p *Pipeline) SkipQuiesced(edges int64) {
 	} else if p.haveMispredict {
 		p.stats.FetchStallBranch += uint64(edges)
 	}
-	if len(p.fq) > 0 {
+	if p.fqLen > 0 {
 		// Quiesced established the head is blocked; dispatch charges the
 		// stall to whichever structure is full, once per cycle.
 		if p.count >= p.cfg.RUUSize {
 			p.stats.RUUFullStalls += uint64(edges)
-		} else if p.fq[0].inst.Op.IsMem() && p.lsqCount >= p.cfg.LSQSize {
+		} else if p.fq[p.fqHead].inst.Op.IsMem() && p.lsqCount >= p.cfg.LSQSize {
 			p.stats.LSQFullStalls += uint64(edges)
 		}
 	}
