@@ -52,7 +52,7 @@ campaign-smoke:
 # interleavings per -count iteration only through scheduling, so the loop
 # shakes out timing-dependent bugs the single-shot suite would miss.
 stress:
-	$(GO) test -race -count=20 ./internal/faults/
+	$(GO) test -race -count=20 ./internal/faults/ ./internal/applog/
 	$(GO) test -race -count=20 -run 'Fault|Watchdog|Robust|Checkpoint|RunError|FailFast|ContinueOnError|Timeout|Resume' \
 		./internal/sim/ ./internal/sweep/ ./internal/experiments/
 
@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test ./internal/sim/ -run FuzzConfigValidate -fuzz FuzzConfigValidate -fuzztime 30s
 	$(GO) test ./internal/tracefile/ -run FuzzReader -fuzz FuzzReader -fuzztime 30s
 	$(GO) test ./internal/campaign/apiv1/ -run FuzzDecodeLedgerRecord -fuzz FuzzDecodeLedgerRecord -fuzztime 30s
+	$(GO) test ./internal/campaign/apiv1/ -run FuzzDecodeJournalRecord -fuzz FuzzDecodeJournalRecord -fuzztime 30s
+	$(GO) test ./internal/applog/ -run FuzzLogAppendAfterGarbage -fuzz FuzzLogAppendAfterGarbage -fuzztime 30s
 
 # One testing.B per paper artefact + ablations, run $(BENCH_COUNT) times
 # each; benchjson folds the repeats to each benchmark's fastest run (noise

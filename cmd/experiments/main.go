@@ -154,7 +154,6 @@ func main() {
 		}
 	}
 
-	var cp *sweep.Checkpoint
 	if *resume && *checkpoint == "" {
 		fail(fmt.Errorf("-resume requires -checkpoint"))
 	}
@@ -169,16 +168,17 @@ func main() {
 				fail(err)
 			}
 		}
-		var err error
-		if cp, err = sweep.OpenCheckpoint(*checkpoint); err != nil {
+		// The checkpoint is a ledger this process owns alone.
+		led, err := sweep.OpenLedger(*checkpoint)
+		if err != nil {
 			fail(err)
 		}
-		defer cp.Close()
-		if *resume && cp.Loaded() > 0 {
+		defer led.Close()
+		if *resume && led.Loaded() > 0 {
 			fmt.Fprintf(os.Stderr, "resuming: %d checkpointed points loaded from %s\n",
-				cp.Loaded(), *checkpoint)
+				led.Loaded(), *checkpoint)
 		}
-		engineOpts = append(engineOpts, sweep.WithCheckpoint(cp))
+		engineOpts = append(engineOpts, sweep.WithLedger(led))
 	}
 	if *progress {
 		engineOpts = append(engineOpts, sweep.OnProgress(func(p sweep.Progress) {
@@ -226,9 +226,8 @@ func main() {
 			"sweep: %d points, %d simulated, %d cache hits, %v total sim time (worst %s %v)\n",
 			st.Points, st.Ran, st.CacheHits, st.SimTime.Round(1e6),
 			st.WorstKey, st.WorstRun.Round(1e6))
-		if st.CheckpointHits > 0 || st.Failed > 0 || st.Retried > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: %d checkpoint hits, %d failed, %d retried\n",
-				st.CheckpointHits, st.Failed, st.Retried)
+		if st.Failed > 0 || st.Retried > 0 {
+			fmt.Fprintf(os.Stderr, "sweep: %d failed, %d retried\n", st.Failed, st.Retried)
 		}
 		if st.LedgerHits > 0 || st.Steals > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: %d ledger hits, %d stolen claims\n",

@@ -66,16 +66,17 @@ func main() {
 		engineOpts = append(engineOpts, sweep.Retries(*retries))
 	}
 	if *checkpoint != "" {
-		cp, err := sweep.OpenCheckpoint(*checkpoint)
+		// The checkpoint is a ledger this process owns alone.
+		led, err := sweep.OpenLedger(*checkpoint)
 		if err != nil {
 			fail(err)
 		}
-		defer cp.Close()
-		if cp.Loaded() > 0 {
+		defer led.Close()
+		if led.Loaded() > 0 {
 			fmt.Fprintf(os.Stderr, "vsvserve: warm start: %d checkpointed points loaded from %s\n",
-				cp.Loaded(), *checkpoint)
+				led.Loaded(), *checkpoint)
 		}
-		engineOpts = append(engineOpts, sweep.WithCheckpoint(cp))
+		engineOpts = append(engineOpts, sweep.WithLedger(led))
 	}
 
 	peers, err := serveFlags.PeerList()

@@ -50,10 +50,8 @@ func EncodeJournalState(id string, state JobState, jerr *Error) ([]byte, error) 
 	return json.Marshal(JournalRecord{V: Version, Kind: JournalKindState, ID: id, State: state, Error: jerr})
 }
 
-// DecodeJournalRecord parses one journal line. The journal is
-// single-writer, so — like the checkpoint and unlike the ledger — a reader
-// may treat the first undecodable line as the torn tail of a crashed
-// append and truncate there.
+// DecodeJournalRecord parses one journal line. Replay skips a line this
+// rejects (a capped torn fragment) and keeps reading; nothing truncates.
 func DecodeJournalRecord(line []byte) (JournalRecord, error) {
 	var r JournalRecord
 	if err := json.Unmarshal(line, &r); err != nil {

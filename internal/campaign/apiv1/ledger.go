@@ -94,11 +94,10 @@ type LedgerRecord struct {
 	Res      sim.Results
 }
 
-// DecodeLedgerRecord parses one ledger line of either kind. Unknown kinds
+// DecodeLedgerRecord parses one ledger line of any kind. Unknown kinds
 // and newer versions are errors; ledger readers treat an undecodable
 // complete line as skippable noise (a multi-writer file cannot be
-// truncated at the first bad record the way a single-writer checkpoint
-// can).
+// truncated at the first bad record, and no ledger file is truncated).
 func DecodeLedgerRecord(line []byte) (LedgerRecord, error) {
 	var probe struct {
 		V    int    `json:"v"`

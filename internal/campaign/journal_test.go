@@ -1,7 +1,6 @@
 package campaign_test
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -240,7 +239,7 @@ func TestJournalReplaySemantics(t *testing.T) {
 	must(jr.Submit("j000001", &req))
 	must(jr.Record("j000001", apiv1.StateDone, nil))
 	must(jr.Submit("j000002", &req))
-	must(jr.Submit("j000002", &req)) // duplicate: first wins
+	must(jr.Submit("j000002", &req))                   // duplicate: first wins
 	must(jr.Record("j000009", apiv1.StateFailed, nil)) // unknown id: skipped
 	must(jr.Submit("j000005", &req))
 	must(jr.Record("j000005", apiv1.StateCancelled,
@@ -268,12 +267,12 @@ func TestJournalReplaySemantics(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTruncated pins torn-write handling: a complete but
-// undecodable line (the repaired fragment of a failed mid-file append) is
+// TestJournalTornTailCapped pins torn-write handling: a complete but
+// undecodable line (the capped fragment of a failed mid-file append) is
 // skipped — the fsynced records behind it survive — while an unterminated
-// trailing fragment (a crash mid-write) is truncated away, and the journal
-// stays appendable afterwards.
-func TestJournalTornTailTruncated(t *testing.T) {
+// trailing fragment (a crash mid-write) is not replayed and not truncated:
+// the next append caps it, and the journal replays cleanly afterwards.
+func TestJournalTornTailCapped(t *testing.T) {
 	path := journalPath(t)
 	req := tinyReq()
 	first, err := apiv1.EncodeJournalSubmit("j000001", &req)
@@ -288,8 +287,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	buf = append(append(buf, first...), '\n')
 	buf = append(buf, []byte("{\"torn fragment, repaired\n")...) // complete bad line: skip
 	buf = append(append(buf, second...), '\n')
-	keep := len(buf)
-	buf = append(buf, []byte(`{"v":1,"kind":"sub`)...) // unterminated tail: truncate
+	buf = append(buf, []byte(`{"v":1,"kind":"sub`)...) // unterminated tail: cap
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +297,23 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if len(recs) != 2 || recs[0].ID != "j000001" || recs[1].ID != "j000002" {
 		t.Fatalf("replay across repaired fragment: %+v", recs)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(keep) {
-		t.Fatalf("file size %d after replay, want torn tail truncated to %d", fi.Size(), keep)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(buf)) {
+		t.Fatalf("file size %d after replay, want %d (never truncated)", fi.Size(), len(buf))
 	}
-	// The repaired journal keeps appending cleanly.
+	// The next append caps the tail and lands as its own line.
 	if err := jr.Submit("j000003", &req); err != nil {
 		t.Fatal(err)
 	}
 	if err := jr.Close(); err != nil {
 		t.Fatal(err)
+	}
+	third, err := apiv1.EncodeJournalSubmit("j000003", &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(buf) + "\n" + string(third) + "\n"
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("journal after capping append:\n%s\nwant:\n%s", got, want)
 	}
 	jr2 := openJournal(t, path)
 	defer jr2.Close()
@@ -475,38 +481,5 @@ func TestJournalInvalidRequestFailsTyped(t *testing.T) {
 	st := jobStatus(t, ts, "j000001")
 	if st.State != apiv1.StateFailed || st.Error == nil || st.Error.Type != apiv1.ErrBadRequest {
 		t.Fatalf("invalid recovered request: %+v", st)
-	}
-}
-
-// TestJournalFailpointTruncateError pins the replay truncate site: a
-// failed torn-tail chop on reopen is a typed open error — the journal
-// refuses to run with a tail it could not repair.
-func TestJournalFailpointTruncateError(t *testing.T) {
-	defer failpoint.Disarm()
-	path := journalPath(t)
-	jr := openJournal(t, path)
-	req := tinyReq()
-	if err := jr.Submit("j1", &req); err != nil {
-		t.Fatal(err)
-	}
-	if err := jr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := failpoint.Arm("journal.truncate=err"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := campaign.OpenJournal(path)
-	var fe *failpoint.Error
-	if !errors.As(err, &fe) || fe.Site != "journal.truncate" {
-		t.Fatalf("reopen with failing truncate = %v, want typed journal.truncate error", err)
-	}
-	failpoint.Disarm()
-
-	// The failure was transient: the next open replays the record.
-	jr2 := openJournal(t, path)
-	defer jr2.Close()
-	if got := len(jr2.Recovered()); got != 1 {
-		t.Fatalf("reopen recovered %d jobs, want 1", got)
 	}
 }

@@ -43,7 +43,7 @@ import (
 // engine, 16 queue slots, 2 concurrent jobs, no per-job run budget.
 type Config struct {
 	// Engine is the shared sweep engine every job runs on. Nil builds a
-	// private one with default workers. Passing an engine with a checkpoint
+	// private one with default workers. Passing an engine with a ledger
 	// attached gives the service warm-start across process lifetimes.
 	Engine *sweep.Engine
 	// Options seeds each job's experiment options (windows, slow-tick);
@@ -805,7 +805,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Points:         st.Points,
 			Ran:            st.Ran,
 			CacheHits:      st.CacheHits,
-			CheckpointHits: st.CheckpointHits,
+			CheckpointHits: st.LedgerHits,
 			Failed:         st.Failed,
 			Retried:        st.Retried,
 			SimTimeNS:      st.SimTime.Nanoseconds(),

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -294,6 +295,50 @@ func TestCacheSharedAcrossJobs(t *testing.T) {
 	}
 	if stats.Engine.ReuseRate < 0 || stats.Engine.ReuseRate > 1 {
 		t.Fatalf("reuse_rate out of range: %v", stats.Engine.ReuseRate)
+	}
+}
+
+// TestLedgerWarmStartProgress pins job accounting on a warm-started
+// engine (vsvserve -checkpoint): points served from the ledger count as
+// done, so a job that simulates nothing still reports every submitted
+// point resolved.
+func TestLedgerWarmStartProgress(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "points.jsonl")
+	req := tinyReq()
+
+	// First lifetime: run the job into the ledger.
+	led, err := sweep.OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := start(t, campaign.Config{Engine: sweep.New(sweep.Workers(4), sweep.WithLedger(led))})
+	first := postJob(t, ts1, req)
+	waitState(t, ts1, first.ID, apiv1.StateDone)
+	want, _ := getBody(t, ts1.URL+first.Location+"/artefacts?format=text")
+	ts1.Close()
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second lifetime: a fresh engine warm-started from the same file.
+	led2, err := sweep.OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led2.Close()
+	_, ts2 := start(t, campaign.Config{Engine: sweep.New(sweep.Workers(4), sweep.WithLedger(led2))})
+	second := postJob(t, ts2, req)
+	st := waitState(t, ts2, second.ID, apiv1.StateDone)
+	p := st.Progress
+	if p.Ran != 0 || p.CheckpointHits == 0 || p.PointsDone != p.PointsSubmitted {
+		t.Fatalf("warm-started job progress = %+v, want nothing ran, checkpoint hits > 0, done == submitted", p)
+	}
+	var stats apiv1.StatsSnapshot
+	if code := getJSON(t, ts2.URL+"/v1/stats", &stats); code != http.StatusOK || stats.Engine.CheckpointHits == 0 {
+		t.Fatalf("stats: HTTP %d, engine %+v; want checkpoint hits > 0", code, stats.Engine)
+	}
+	if got, _ := getBody(t, ts2.URL+second.Location+"/artefacts?format=text"); got == "" || got != want {
+		t.Fatal("warm-started job's artefact bytes differ")
 	}
 }
 

@@ -24,8 +24,8 @@ func campaignText(t *testing.T, o Options, names ...string) string {
 
 // TestResumeByteIdentical pins the checkpoint/resume contract end to end
 // through the render path: a campaign completed across two process
-// "lifetimes" (a partial run that checkpoints, then a resumed full run)
-// produces stdout bytes identical to an uninterrupted campaign's.
+// "lifetimes" (a partial run that records into a ledger, then a resumed
+// full run) produces stdout bytes identical to an uninterrupted campaign's.
 func TestResumeByteIdentical(t *testing.T) {
 	o := Options{WarmupInstructions: 4_000, MeasureInstructions: 16_000, Parallelism: 4}
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -33,35 +33,35 @@ func TestResumeByteIdentical(t *testing.T) {
 	want := campaignText(t, o, "fig4", "summary")
 
 	// Lifetime 1: only part of the campaign completes before the "kill".
-	cp, err := sweep.OpenCheckpoint(path)
+	led, err := sweep.OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o1 := o
-	o1.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithCheckpoint(cp))
+	o1.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithLedger(led))
 	campaignText(t, o1, "fig4")
-	if err := cp.Close(); err != nil {
+	if err := led.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Lifetime 2: resume and run the full campaign.
-	cp2, err := sweep.OpenCheckpoint(path)
+	led2, err := sweep.OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if cp2.Loaded() == 0 {
+	defer led2.Close()
+	if led2.Loaded() == 0 {
 		t.Fatal("nothing checkpointed in the first lifetime")
 	}
 	o2 := o
-	o2.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithCheckpoint(cp2))
+	o2.Engine = sweep.New(sweep.Workers(o.Parallelism), sweep.WithLedger(led2))
 	got := campaignText(t, o2, "fig4", "summary")
 
 	if got != want {
 		t.Fatal("resumed stdout differs from uninterrupted stdout")
 	}
-	if st := o2.Engine.Stats(); st.CheckpointHits == 0 {
-		t.Fatalf("resume did not use the checkpoint: %+v", st)
+	if st := o2.Engine.Stats(); st.LedgerHits == 0 {
+		t.Fatalf("resume did not use the ledger: %+v", st)
 	}
 }
 

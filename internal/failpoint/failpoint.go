@@ -1,7 +1,8 @@
 // Package failpoint injects deterministic I/O failures into the
-// durability-critical write paths (the campaign journal, the sweep
-// checkpoint, the work-stealing ledger) so crash-safety claims are tested
-// against the failures they promise to survive, not just the happy path.
+// durability-critical write paths (internal/applog, the append-only log
+// under the campaign journal and the sweep ledger) so crash-safety claims
+// are tested against the failures they promise to survive, not just the
+// happy path.
 //
 // A failpoint is a named site in production code that routes an operation
 // through this package. Unarmed — the production default — every helper
@@ -94,13 +95,13 @@ func (e *Error) Unwrap() error { return e.Cause }
 // writers (ledger appends race across goroutines) count deterministically
 // in total even when the interleaving varies.
 type site struct {
-	action  string
-	at      int64 // fire on the at-th matching call (1-based)
-	sticky  bool  // keep firing from at on
-	keyed   bool  // only calls whose key matches fire
-	key     string
-	hits    atomic.Int64
-	fired   atomic.Int64 // observability: how many times the action fired
+	action string
+	at     int64 // fire on the at-th matching call (1-based)
+	sticky bool  // keep firing from at on
+	keyed  bool  // only calls whose key matches fire
+	key    string
+	hits   atomic.Int64
+	fired  atomic.Int64 // observability: how many times the action fired
 }
 
 // table is the armed configuration; nil when unarmed. Swapped atomically

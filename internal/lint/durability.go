@@ -10,14 +10,14 @@ import (
 
 // durability enforces the error discipline of the durable-I/O packages
 // (DESIGN.md §14). A package declares itself durable by importing the
-// failpoint helpers (the checkpoint, ledger and journal writers all do),
-// and the apiv1 wire-format package is durable by fiat. Inside the
+// failpoint helpers (the applog primitive, the ledger and the journal all
+// do), and the apiv1 wire-format package is durable by fiat. Inside the
 // durable surface:
 //
 //   - The error of a durable operation — the failpoint helpers, the
 //     write/sync/flush/truncate/close family on *os.File and
 //     *bufio.Writer, and the write-shaped methods of the repo's own
-//     durable types (Journal.Submit/Record, Checkpoint/Ledger methods) —
+//     durable types (Journal.Submit/Record, Ledger and applog.Log methods) —
 //     must never be dropped: not as a bare statement, not behind a
 //     blank assignment, not behind defer or go. The one sanctioned
 //     discard is `_ = f.Close()` on an error path where a more specific
@@ -33,7 +33,7 @@ type durability struct{}
 func (durability) Name() string { return "durability" }
 
 func (durability) Doc() string {
-	return "durable-write errors (failpoint helpers, os/bufio writers, journal/ledger/checkpoint methods) must be checked and wrapped with %w, never dropped"
+	return "durable-write errors (failpoint helpers, os/bufio writers, journal/ledger/log methods) must be checked and wrapped with %w, never dropped"
 }
 
 // durablePkg reports whether the package is part of the durable surface:

@@ -19,13 +19,15 @@ import (
 // crash-safety story (the process half lives in cmd/vsvcampaign's and
 // internal/campaign's suites).
 
-// TestCheckpointFailpointTornAppend pins ENOSPC behavior on the checkpoint
-// append: the caller gets a typed error with ENOSPC in the chain, and a
-// reopen truncates the torn half-line away, keeping every earlier record.
+// TestCheckpointFailpointTornAppend pins ENOSPC behavior on a
+// single-writer ledger across a restart: the caller gets a typed error with
+// ENOSPC in the chain; a reopen keeps every earlier record and does not
+// resurrect the torn one; and the torn point re-completes cleanly, its
+// append capping the fragment left on disk.
 func TestCheckpointFailpointTornAppend(t *testing.T) {
 	defer failpoint.Disarm()
 	path := t.TempDir() + "/cp.jsonl"
-	cp, err := OpenCheckpoint(path)
+	led, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,32 +40,32 @@ func TestCheckpointFailpointTornAppend(t *testing.T) {
 	for i, p := range pts {
 		fps[i], _ = p.Fingerprint()
 	}
-	if err := cp.add(fps[0], pts[0].Key, want[0]); err != nil {
+	if err := led.Complete(fps[0], pts[0].Key, want[0]); err != nil {
 		t.Fatal(err)
 	}
 
-	// The second add tears: half the line reaches the file, then ENOSPC.
-	if err := failpoint.Arm("checkpoint.append=enospc"); err != nil {
+	// The second completion tears: half the line reaches the file, then
+	// ENOSPC.
+	if err := failpoint.Arm("ledger.append=enospc"); err != nil {
 		t.Fatal(err)
 	}
-	err = cp.add(fps[1], pts[1].Key, want[1])
+	err = led.Complete(fps[1], pts[1].Key, want[1])
 	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("torn add = %v, want ENOSPC in chain", err)
+		t.Fatalf("torn Complete = %v, want ENOSPC in chain", err)
 	}
 	var fe *failpoint.Error
 	if !errors.As(err, &fe) {
-		t.Fatalf("torn add error is not typed: %v", err)
+		t.Fatalf("torn Complete error is not typed: %v", err)
 	}
 	failpoint.Disarm()
-	cp.Close()
+	led.Close()
 
-	// Reopen: the good record survives, the torn tail is truncated, and
-	// the torn point re-adds cleanly.
-	re, err := OpenCheckpoint(path)
+	// Reopen: the good record survives, the torn tail stays pending, and
+	// the torn point re-completes cleanly.
+	re, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	if re.Loaded() != 1 {
 		t.Fatalf("reopen loaded %d records, want 1", re.Loaded())
 	}
@@ -73,83 +75,22 @@ func TestCheckpointFailpointTornAppend(t *testing.T) {
 	if _, ok := re.Lookup(fps[1]); ok {
 		t.Fatal("torn record resurrected on reopen")
 	}
-	if err := re.add(fps[1], pts[1].Key, want[1]); err != nil {
-		t.Fatalf("re-add after recovery: %v", err)
+	if err := re.Complete(fps[1], pts[1].Key, want[1]); err != nil {
+		t.Fatalf("re-complete after recovery: %v", err)
 	}
-}
+	re.Close()
 
-// TestCheckpointFailpointFlushError pins the flush site: a failed
-// per-record flush is a typed error, not a silently unflushed success.
-func TestCheckpointFailpointFlushError(t *testing.T) {
-	defer failpoint.Disarm()
-	cp, err := OpenCheckpoint(t.TempDir() + "/cp.jsonl")
+	// The capped fragment skips as one bad line; both records decode.
+	again, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
-	p := testPoints()[0]
-	fp, _ := p.Fingerprint()
-	res, err := New(Workers(1)).Run(context.Background(), []Point{p})
-	if err != nil {
-		t.Fatal(err)
+	defer again.Close()
+	if again.Loaded() != 2 || again.Skipped() != 1 {
+		t.Fatalf("after repair: loaded %d, skipped %d; want 2 and 1", again.Loaded(), again.Skipped())
 	}
-	if err := failpoint.Arm("checkpoint.flush=err"); err != nil {
-		t.Fatal(err)
-	}
-	var fe *failpoint.Error
-	if err := cp.add(fp, p.Key, res[0]); !errors.As(err, &fe) {
-		t.Fatalf("flush-failed add = %v, want typed failpoint error", err)
-	}
-}
-
-// TestCheckpointCloseWithoutFlush pins the lost-buffer case: a record whose
-// flush and close-flush are both skipped (the close-without-flush crash
-// shape) never reaches the disk — and the reopen simply re-runs it, with
-// every properly flushed record intact.
-func TestCheckpointCloseWithoutFlush(t *testing.T) {
-	defer failpoint.Disarm()
-	path := t.TempDir() + "/cp.jsonl"
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := testPoints()
-	res, err := New(Workers(1)).Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fps := make([]string, len(pts))
-	for i, p := range pts {
-		fps[i], _ = p.Fingerprint()
-	}
-	if err := cp.add(fps[0], pts[0].Key, res[0]); err != nil {
-		t.Fatal(err)
-	}
-	// The second record's flush is lost, and so is the close-time flush:
-	// the bytes die in the buffer, exactly like a process killed between
-	// buffering and flushing.
-	if err := failpoint.Arm("checkpoint.flush=skip,checkpoint.close=skip"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.add(fps[1], pts[1].Key, res[1]); err != nil {
-		t.Fatalf("skip-flush add = %v, want success (the loss is silent until reopen)", err)
-	}
-	cp.Close()
-	failpoint.Disarm()
-
-	re, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Loaded() != 1 {
-		t.Fatalf("reopen loaded %d records, want 1 (the flushed one)", re.Loaded())
-	}
-	if _, ok := re.Lookup(fps[0]); !ok {
-		t.Fatal("flushed record lost")
-	}
-	if _, ok := re.Lookup(fps[1]); ok {
-		t.Fatal("unflushed record must not survive")
+	if got, ok := again.Lookup(fps[1]); !ok || !reflect.DeepEqual(got, want[1]) {
+		t.Fatal("re-completed record lost behind the capped fragment")
 	}
 }
 
@@ -348,49 +289,5 @@ func TestLedgerClaimsBy(t *testing.T) {
 	}
 	if got := sup.ClaimsBy("nobody"); len(got) != 0 {
 		t.Fatalf("ClaimsBy(nobody) = %v, want none", got)
-	}
-}
-
-// TestCheckpointFailpointTruncateError pins the replay truncate site: a
-// failed torn-tail chop on reopen is a typed open error, never a
-// checkpoint that silently keeps the corrupt tail.
-func TestCheckpointFailpointTruncateError(t *testing.T) {
-	defer failpoint.Disarm()
-	path := t.TempDir() + "/cp.jsonl"
-	cp, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := testPoints()
-	want, err := New(Workers(1)).Run(context.Background(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, _ := pts[0].Fingerprint()
-	if err := cp.add(fp, pts[0].Key, want[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := failpoint.Arm("checkpoint.truncate=err"); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenCheckpoint(path)
-	var fe *failpoint.Error
-	if !errors.As(err, &fe) || fe.Site != "checkpoint.truncate" {
-		t.Fatalf("reopen with failing truncate = %v, want typed checkpoint.truncate error", err)
-	}
-	failpoint.Disarm()
-
-	// The failure was transient: the next open replays the record.
-	re, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Loaded() != 1 {
-		t.Fatalf("reopen loaded %d records, want 1", re.Loaded())
 	}
 }

@@ -1,72 +1,63 @@
 package sweep
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/applog"
 	"repro/internal/campaign/apiv1"
-	"repro/internal/failpoint"
 	"repro/internal/sim"
 )
 
-// Ledger failpoint sites (no-ops unless armed; see internal/failpoint).
-const (
-	// fpLedgerAppend is the single O_APPEND write of one whole line —
-	// claim, completion and poison records all pass through it.
-	fpLedgerAppend = "ledger.append"
-	// FPLedgerClaimed fires between winning a claim and running the
-	// point. Armed with crash and a key, it models a poisoned input that
-	// kills any worker that picks it up — the supervisor's quarantine
-	// drill. Exported so drivers can name the site in chaos schedules.
-	FPLedgerClaimed = "ledger.claimed"
-)
+// FPLedgerClaimed is a failpoint site (a no-op unless armed; see
+// internal/failpoint) that fires between winning a claim and running the
+// point. Armed with crash and a key, it models a poisoned input that kills
+// any worker that picks it up — the supervisor's quarantine drill. Exported
+// so drivers can name the site in chaos schedules. The ledger's other site,
+// "ledger.append", guards the one write of every claim, completion and
+// poison record (internal/applog).
+const FPLedgerClaimed = "ledger.claimed"
 
-// Ledger turns the checkpoint's JSONL format into a multi-writer
-// work-stealing ledger: several worker processes open the same file,
-// announce which points they are running (claim records), and publish
-// results as they finish (completion records, byte-identical to v1
-// checkpoint records). The coordination protocol is deliberately minimal
-// because the simulations themselves are deterministic:
+// Ledger is the sweep engine's durable record of completed points, in two
+// roles. A single process uses it as a resumable checkpoint: every finished
+// simulation is appended as it completes, and a reopened ledger serves those
+// points instead of re-running them (-checkpoint/-resume). Several worker
+// processes share one as a work-stealing ledger: they announce which points
+// they are running (claim records) and publish results as they finish
+// (completion records). Completion records are apiv1 checkpoint records, so
+// checkpoint files written before the ledger existed still load. The
+// coordination protocol is deliberately minimal because the simulations
+// themselves are deterministic:
 //
-//   - Appends are single O_APPEND write(2) calls of one whole line, so
-//     concurrent writers never interleave bytes within a record.
+//   - Appends are single O_APPEND write(2) calls of one whole line (see
+//     internal/applog), so concurrent writers never interleave bytes within
+//     a record.
 //   - Claims are advisory. Two workers that race the same fingerprint both
 //     run it; the duplicate is wasted work, not an error, because both
 //     produce bit-identical results and the first completion record wins.
 //   - Claims expire. A claim carries a wall-clock deadline; once it passes
-//     without a completion, any worker may steal the point. A worker
+//     without a completion, any other worker may steal the point. A worker
 //     killed mid-run therefore delays its claimed points by at most the
-//     claim TTL.
-//   - Readers never truncate. Unlike the single-writer checkpoint, a torn
-//     or corrupt line cannot be cut off (another process may already have
-//     valid records after it); instead an unterminated trailing fragment
-//     stays pending until its terminator arrives, and a complete-but-
-//     undecodable line is skipped and counted.
-//
-// A ledger file whose claims have all expired or completed is a valid
-// checkpoint file apart from the claim lines, which the checkpoint reader
-// rejects as corruption — so ledgers and checkpoints stay distinct files.
+//     claim TTL — and not at all for a successor that opens the ledger
+//     under the same worker id, which re-claims them at once.
+//   - Nobody truncates. A torn or corrupt line cannot be cut off (another
+//     process may already have valid records after it); an unterminated
+//     trailing fragment stays pending until its terminator arrives or the
+//     next append caps it, and a complete-but-undecodable line is skipped
+//     and counted.
 type Ledger struct {
-	mu      sync.Mutex
-	f       *os.File
-	worker  string
-	ttl     time.Duration
-	poll    time.Duration
-	readOff int64  // bytes consumed from the file so far
-	pending []byte // trailing bytes not yet terminated by '\n'
-	buf     []byte // read buffer, reused across refreshes
+	mu       sync.Mutex
+	log      *applog.Log // nil once closed
+	worker   string
+	ttl      time.Duration
+	poll     time.Duration
 	done     map[string]sim.Results
 	claims   map[string]claimState
 	poisoned map[string]string // fingerprint → quarantine reason
 	loaded   int               // completion records absorbed over the ledger's lifetime
 	skipped  int               // undecodable complete lines skipped
-	tornTail bool              // last append failed; the file may end mid-line
 }
 
 type claimState struct {
@@ -78,9 +69,15 @@ type claimState struct {
 // LedgerOption configures an opened ledger.
 type LedgerOption func(*Ledger)
 
+// DefaultLedgerWorker is the worker identity of a ledger opened without
+// LedgerWorker. It is fixed rather than per-process so that a process
+// resuming a single-writer ledger owns — and re-claims immediately — the
+// claims its killed predecessor left behind.
+const DefaultLedgerWorker = "local"
+
 // LedgerWorker sets the ledger's worker identity, written into its claim
-// records. The default is pid-derived; multi-process drivers set stable
-// worker names for diagnosability.
+// records (default DefaultLedgerWorker). Processes sharing one ledger must
+// use distinct identities; multi-process drivers name their workers.
 func LedgerWorker(id string) LedgerOption {
 	return func(l *Ledger) {
 		if id != "" {
@@ -111,18 +108,18 @@ func LedgerPoll(d time.Duration) LedgerOption {
 	}
 }
 
-// OpenLedger opens (creating if needed) the shared ledger file at path and
+// OpenLedger opens (creating if needed) the ledger file at path and
 // absorbs every record already present.
 func OpenLedger(path string, opts ...LedgerOption) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	lg, err := applog.Open(path, "ledger")
 	if err != nil {
 		return nil, fmt.Errorf("sweep: ledger: %w", err)
 	}
 	l := &Ledger{
-		f:      f,
-		worker: "pid-" + strconv.Itoa(os.Getpid()),
-		ttl:    10 * time.Second,
-		poll:   25 * time.Millisecond,
+		log:      lg,
+		worker:   DefaultLedgerWorker,
+		ttl:      10 * time.Second,
+		poll:     25 * time.Millisecond,
 		done:     make(map[string]sim.Results),
 		claims:   make(map[string]claimState),
 		poisoned: make(map[string]string),
@@ -134,7 +131,7 @@ func OpenLedger(path string, opts ...LedgerOption) (*Ledger, error) {
 	err = l.refreshLocked()
 	l.mu.Unlock()
 	if err != nil {
-		_ = f.Close()
+		_ = lg.Close()
 		return nil, err
 	}
 	return l, nil
@@ -152,70 +149,43 @@ func (l *Ledger) Refresh() error {
 }
 
 func (l *Ledger) refreshLocked() error {
-	if l.f == nil {
+	if l.log == nil {
 		return fmt.Errorf("sweep: ledger: closed")
 	}
-	if l.buf == nil {
-		l.buf = make([]byte, 1<<16)
+	if err := l.log.ReadNew(l.absorb); err != nil {
+		return fmt.Errorf("sweep: ledger: read: %w", err)
 	}
-	for {
-		n, err := l.f.ReadAt(l.buf, l.readOff)
-		if n > 0 {
-			l.readOff += int64(n)
-			l.pending = append(l.pending, l.buf[:n]...)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("sweep: ledger: read: %w", err)
-		}
-		if n == 0 {
-			break
-		}
+	return nil
+}
+
+// absorb folds one complete ledger line into the in-memory view.
+func (l *Ledger) absorb(line []byte) {
+	rec, err := apiv1.DecodeLedgerRecord(line)
+	if err != nil {
+		// A capped torn fragment or other corruption: skip it; at worst
+		// the point re-runs.
+		l.skipped++
+		return
 	}
-	for {
-		i := bytes.IndexByte(l.pending, '\n')
-		if i < 0 {
-			// An unterminated fragment: a writer is mid-append (or was
-			// killed mid-write). Keep it pending; if its terminator never
-			// arrives, later complete lines appended after it will decode
-			// once the fragment+line parses or be skipped as one bad line.
-			break
+	switch {
+	case rec.Claim:
+		if _, ok := l.done[rec.FP]; ok {
+			return // already complete; a late claim is moot
 		}
-		line := l.pending[:i]
-		l.pending = l.pending[i+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		// Later claims supersede earlier ones for a fingerprint (a steal
+		// re-claims with a fresh deadline).
+		l.claims[rec.FP] = claimState{
+			worker:   rec.Worker,
+			key:      rec.Key,
+			deadline: time.UnixMilli(rec.Deadline),
 		}
-		rec, err := apiv1.DecodeLedgerRecord(line)
-		if err != nil {
-			// Multi-writer file: cannot truncate at a bad record the way
-			// the checkpoint does. Skip it; at worst the point re-runs.
-			l.skipped++
-			continue
+	case rec.Poison:
+		if _, ok := l.done[rec.FP]; ok {
+			return // a completion already proved the point runs
 		}
-		if rec.Claim {
-			if _, ok := l.done[rec.FP]; ok {
-				continue // already complete; a late claim is moot
-			}
-			// Later claims supersede earlier ones for a fingerprint (a
-			// steal re-claims with a fresh deadline).
-			l.claims[rec.FP] = claimState{
-				worker:   rec.Worker,
-				key:      rec.Key,
-				deadline: time.UnixMilli(rec.Deadline),
-			}
-			continue
-		}
-		if rec.Poison {
-			if _, ok := l.done[rec.FP]; ok {
-				continue // a completion already proved the point runs
-			}
-			l.poisoned[rec.FP] = rec.Reason
-			delete(l.claims, rec.FP)
-			continue
-		}
+		l.poisoned[rec.FP] = rec.Reason
+		delete(l.claims, rec.FP)
+	default:
 		if _, ok := l.done[rec.FP]; !ok {
 			// First completion wins. Duplicates (two workers racing one
 			// point) are bit-identical anyway — the simulations are
@@ -227,7 +197,6 @@ func (l *Ledger) refreshLocked() error {
 		// A completion supersedes any quarantine: the point ran somewhere.
 		delete(l.poisoned, rec.FP)
 	}
-	return nil
 }
 
 // Lookup returns the completed results for a fingerprint, from the
@@ -356,32 +325,15 @@ func (l *Ledger) ClaimsBy(worker string) []ClaimInfo {
 	return out
 }
 
-// appendLocked writes one whole line (record + terminator) in a single
-// write call. O_APPEND makes the offset positioning atomic across
-// processes, and a single write of a short line is not interleaved with
-// other writers' lines on POSIX local filesystems — the property the
-// whole multi-writer format rests on.
-//
-// A failed append (ENOSPC, short write) may have torn a partial line into
-// the file; the writer cannot know how much got out. The next append
-// therefore leads with an extra terminator, which caps any fragment into
-// one complete-but-undecodable line that every reader skips — the repaired
-// record after it decodes normally. An unnecessary extra newline is free
-// (blank lines are skipped on read).
+// appendLocked appends one record line (see applog.Log.Append for the
+// single-write and torn-tail rules).
 func (l *Ledger) appendLocked(line []byte) error {
-	if l.f == nil {
+	if l.log == nil {
 		return fmt.Errorf("sweep: ledger: closed")
 	}
-	buf := make([]byte, 0, len(line)+2)
-	if l.tornTail {
-		buf = append(buf, '\n')
-	}
-	buf = append(append(buf, line...), '\n')
-	if _, err := failpoint.Write(fpLedgerAppend, l.f, buf); err != nil {
-		l.tornTail = true
+	if err := l.log.Append(line); err != nil {
 		return fmt.Errorf("sweep: ledger: append: %w", err)
 	}
-	l.tornTail = false
 	return nil
 }
 
@@ -417,10 +369,10 @@ func (l *Ledger) Skipped() int {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.log == nil {
 		return nil
 	}
-	err := l.f.Close()
-	l.f = nil
+	err := l.log.Close()
+	l.log = nil
 	return err
 }

@@ -2,13 +2,16 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -154,8 +157,8 @@ func TestRunTimeoutRetries(t *testing.T) {
 }
 
 // TestCheckpointResume pins the resume contract: a campaign interrupted
-// after a prefix completes from the checkpoint alone — only the missing
-// points run, and the assembled results are bit-identical to an
+// after a prefix completes from the ledger it left behind — only the
+// missing points run, and the assembled results are bit-identical to an
 // uninterrupted campaign's.
 func TestCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -167,54 +170,54 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// First lifetime: complete only the first half, then "die".
-	cp, err := OpenCheckpoint(path)
+	led, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(2), WithCheckpoint(cp)).Run(context.Background(), pts[:2]); err != nil {
+	if _, err := New(Workers(2), WithLedger(led)).Run(context.Background(), pts[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := led.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second lifetime: reopen and run the full campaign.
-	cp2, err := OpenCheckpoint(path)
+	led2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if cp2.Loaded() != 2 {
-		t.Fatalf("loaded %d records, want 2", cp2.Loaded())
+	defer led2.Close()
+	if led2.Loaded() != 2 {
+		t.Fatalf("loaded %d records, want 2", led2.Loaded())
 	}
-	e := New(Workers(2), WithCheckpoint(cp2))
+	e := New(Workers(2), WithLedger(led2))
 	got, err := e.Run(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.CheckpointHits != 2 || st.Ran != 2 {
-		t.Fatalf("stats = %+v, want 2 checkpoint hits + 2 ran", st)
+	if st := e.Stats(); st.LedgerHits != 2 || st.Ran != 2 {
+		t.Fatalf("stats = %+v, want 2 ledger hits + 2 ran", st)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("resumed results differ from uninterrupted results")
 	}
 }
 
-// TestCheckpointTornTail pins kill-tolerance: a checkpoint whose final line
-// was torn by a mid-write kill loads every complete record and truncates
-// the garbage, and stays appendable.
+// TestCheckpointTornTail pins kill-tolerance: a ledger whose final line was
+// torn by a mid-write kill loads every complete record, and stays
+// appendable — the next append caps the fragment into one skipped line.
 func TestCheckpointTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	pts := testPoints()
 
-	cp, err := OpenCheckpoint(path)
+	led, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(1), WithCheckpoint(cp)).Run(context.Background(), pts[:2]); err != nil {
+	if _, err := New(Workers(1), WithLedger(led)).Run(context.Background(), pts[:2]); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
+	led.Close()
 
 	// Simulate a kill mid-write: append half a record.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -226,38 +229,38 @@ func TestCheckpointTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	cp2, err := OpenCheckpoint(path)
+	led2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp2.Loaded() != 2 {
-		t.Fatalf("loaded %d records after torn tail, want 2", cp2.Loaded())
+	if led2.Loaded() != 2 {
+		t.Fatalf("loaded %d records after torn tail, want 2", led2.Loaded())
 	}
 	// Still appendable: complete the campaign and reload it all.
-	if _, err := New(Workers(1), WithCheckpoint(cp2)).Run(context.Background(), pts); err != nil {
+	if _, err := New(Workers(1), WithLedger(led2)).Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	cp2.Close()
-	cp3, err := OpenCheckpoint(path)
+	led2.Close()
+	led3, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp3.Close()
-	if cp3.Loaded() != len(pts) {
-		t.Fatalf("loaded %d records after resume, want %d", cp3.Loaded(), len(pts))
+	defer led3.Close()
+	if led3.Loaded() != len(pts) || led3.Skipped() != 1 {
+		t.Fatalf("loaded %d records (skipped %d) after resume, want %d (skipped 1: the capped fragment)",
+			led3.Loaded(), led3.Skipped(), len(pts))
 	}
-	e := New(Workers(1), WithCheckpoint(cp3))
+	e := New(Workers(1), WithLedger(led3))
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Ran != 0 || st.CheckpointHits != len(pts) {
-		t.Fatalf("full checkpoint did not satisfy the campaign: %+v", st)
+	if st := e.Stats(); st.Ran != 0 || st.LedgerHits != len(pts) {
+		t.Fatalf("full ledger did not satisfy the campaign: %+v", st)
 	}
 }
 
 // TestCheckpointRoundTripExact pins the byte-identity foundation: results
-// loaded from a checkpoint are bit-identical (every float64) to the
-// originals.
+// loaded from a ledger are bit-identical (every float64) to the originals.
 func TestCheckpointRoundTripExact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	pts := testPoints()
@@ -265,27 +268,133 @@ func TestCheckpointRoundTripExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenCheckpoint(path)
+	led, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Workers(2), WithCheckpoint(cp)).Run(context.Background(), pts); err != nil {
+	if _, err := New(Workers(2), WithLedger(led)).Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
-	cp2, err := OpenCheckpoint(path)
+	led.Close()
+	led2, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
+	defer led2.Close()
 	for i, p := range pts {
 		fp, _ := p.Fingerprint()
-		got, ok := cp2.Lookup(fp)
+		got, ok := led2.Lookup(fp)
 		if !ok {
-			t.Fatalf("point %q missing from checkpoint", p.Key)
+			t.Fatalf("point %q missing from the ledger", p.Key)
 		}
 		if !reflect.DeepEqual(want[i], got) {
 			t.Fatalf("point %q did not round-trip exactly:\nwant %+v\ngot  %+v", p.Key, want[i], got)
 		}
+	}
+}
+
+// TestCheckpointLegacyFileLoads pins backward compatibility: a checkpoint
+// file written before versioning (v0 lines: Go field names, no "v"), ending
+// in a torn tail, opens as a ledger and satisfies its campaign without
+// running anything.
+func TestCheckpointLegacyFileLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	pts := testPoints()
+	want, err := New(Workers(2)).Run(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file []byte
+	for i, p := range pts {
+		fp, _ := p.Fingerprint()
+		line, err := json.Marshal(struct {
+			FP  string      `json:"fp"`
+			Key string      `json:"key"`
+			Res sim.Results `json:"res"`
+		}{fp, p.Key, want[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(append(file, line...), '\n')
+	}
+	file = append(file, `{"fp":"dead","key":"torn","res":{"Bench`...)
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	led, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	e := New(Workers(2), WithLedger(led))
+	got, err := e.Run(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Ran != 0 || st.LedgerHits != len(pts) {
+		t.Fatalf("legacy checkpoint did not satisfy the campaign: %+v", st)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("legacy checkpoint results differ from a fresh run")
+	}
+}
+
+// TestCheckpointResumeReclaimsDeadClaims pins the single-writer resume
+// path across a real process death: a predecessor process, opened with the
+// default worker id, is killed mid-append while holding a claim that would
+// stay live for an hour. A successor opening the same file under the
+// default id owns that claim and re-runs the point at once. Were the id
+// per-process, the claim would be foreign and live: the ownership check
+// below fails, and without it the run would wait out the hour — there is no
+// timing bound to tune.
+func TestCheckpointResumeReclaimsDeadClaims(t *testing.T) {
+	if path := os.Getenv("SWEEP_DEAD_PREDECESSOR"); path != "" {
+		// The predecessor: claim and complete points until the armed
+		// ledger.append crash kills this process mid-write.
+		led, err := OpenLedger(path, LedgerClaimTTL(time.Hour))
+		if err != nil {
+			os.Exit(1)
+		}
+		New(Workers(1), WithLedger(led)).Run(context.Background(), testPoints())
+		os.Exit(0) // unreachable when the crash schedule works
+	}
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	// Appends 1-3: claim p0, complete p0, claim p1; append 4 (p1's
+	// completion) tears and the process dies holding p1's claim.
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCheckpointResumeReclaimsDeadClaims$")
+	cmd.Env = append(os.Environ(),
+		"SWEEP_DEAD_PREDECESSOR="+path,
+		failpoint.EnvVar+"=ledger.append=crash@4")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != failpoint.CrashExitCode {
+		t.Fatalf("predecessor exited %v (output %q), want exit %d", err, out, failpoint.CrashExitCode)
+	}
+
+	pts := testPoints()
+	want, err := New(Workers(2)).Run(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := OpenLedger(path, LedgerClaimTTL(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	fp1, _ := pts[1].Fingerprint()
+	if claims := led.ClaimsBy(led.Worker()); len(claims) != 1 || claims[0].FP != fp1 {
+		t.Fatalf("claims the successor owns = %v, want exactly the dead predecessor's claim on p1", claims)
+	}
+	e := New(Workers(2), WithLedger(led))
+	got, err := e.Run(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.LedgerHits != 1 || st.Ran != 3 || st.Steals != 0 {
+		t.Fatalf("stats = %+v, want 1 ledger hit, 3 ran, no steals", st)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("resumed results differ from uninterrupted results")
 	}
 }

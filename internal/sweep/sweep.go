@@ -8,7 +8,7 @@
 //
 // Work is scoped in two layers. The Engine owns the shared, contended
 // resources — the worker pool, its reusable machine arenas, the
-// fingerprint-keyed memo cache and the optional checkpoint or ledger — and
+// fingerprint-keyed memo cache and the optional ledger — and
 // survives across campaigns. Each worker holds a persistent machine slot,
 // so consecutive memo-missed runs recycle one arena in place
 // (Machine.Reset) instead of reallocating tens of megabytes of simulator
@@ -65,14 +65,11 @@ type Stats struct {
 	// Points counts every submitted point; Ran counts the simulations that
 	// actually executed; CacheHits counts points satisfied by a memoized
 	// (or in-flight duplicate) run. For all-success campaigns,
-	// Points == Ran + CacheHits + CheckpointHits + LedgerHits.
+	// Points == Ran + CacheHits + LedgerHits.
 	Points, Ran, CacheHits int
-	// CheckpointHits counts points satisfied from the attached checkpoint
-	// file (completed in an earlier process lifetime).
-	CheckpointHits int
-	// LedgerHits counts points satisfied from the attached work-stealing
-	// ledger (completed by another worker process); Steals counts expired
-	// foreign claims this engine took over.
+	// LedgerHits counts points satisfied from the attached ledger
+	// (completed in an earlier process lifetime, or by another worker
+	// process); Steals counts expired foreign claims this engine took over.
 	LedgerHits, Steals int
 	// Failed counts points that genuinely failed (cancellations are not
 	// failures); Retried counts extra attempts spent on transient failures.
@@ -180,19 +177,12 @@ func ContinueOnError() Option {
 	return func(e *Engine) { e.keepGoing = true }
 }
 
-// WithCheckpoint attaches a checkpoint: points whose fingerprint it already
-// holds are served from it, and every newly completed simulation is
-// appended to it. The caller owns the checkpoint's lifetime (Close it after
-// the campaign).
-func WithCheckpoint(cp *Checkpoint) Option {
-	return func(e *Engine) { e.cp = cp }
-}
-
-// WithLedger attaches a multi-writer work-stealing ledger: completed
-// points are served from it, unclaimed points are claimed before they run
-// (and completed into it afterwards), and points claimed by another live
-// worker process are waited for — or stolen once the claim's deadline
-// expires. The caller owns the ledger's lifetime. See Ledger.
+// WithLedger attaches a ledger: completed points are served from it,
+// unclaimed points are claimed before they run (and completed into it
+// afterwards), and points claimed by another live worker process are
+// waited for — or stolen once the claim's deadline expires. A ledger that
+// one process owns is that process's checkpoint: a reopened one resumes
+// the campaign. The caller owns the ledger's lifetime. See Ledger.
 func WithLedger(l *Ledger) Option {
 	return func(e *Engine) { e.led = l }
 }
@@ -496,7 +486,6 @@ type Engine struct {
 	retries    int
 	backoff    time.Duration
 	keepGoing  bool
-	cp         *Checkpoint
 	led        *Ledger
 
 	// shards is the lock-striped memo cache (power-of-two length).
@@ -610,7 +599,7 @@ func (e *Engine) releaseArena(w int, a *arena) {
 }
 
 // Job is one campaign's scoped view of an engine: it shares the engine's
-// worker pool, memo cache and checkpoint, but owns its progress callback,
+// worker pool, memo cache and ledger, but owns its progress callback,
 // its Stats and its run budget, so concurrent jobs on one engine do not
 // interleave counters or callbacks. The zero value is not usable; call
 // Engine.NewJob. A Job is safe for concurrent use (a job running several
@@ -775,19 +764,17 @@ func (e *Engine) RunMap(ctx context.Context, points []Point) (map[string]sim.Res
 func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int, err error) {
 	e := j.e
 	// The fingerprint is only needed when something is keyed by it; a
-	// memoization-disabled engine with no checkpoint and no ledger skips
-	// the hash entirely (it is pure per-point overhead there).
-	needFP := !e.noCache || e.cp != nil || e.led != nil
-	var cacheHits, cpHits, ledHits int
+	// memoization-disabled engine with no ledger skips the hash entirely
+	// (it is pure per-point overhead there).
+	needFP := !e.noCache || e.led != nil
+	var cacheHits, ledHits int
 	defer func() {
-		if cacheHits == 0 && cpHits == 0 && ledHits == 0 {
+		if cacheHits == 0 && ledHits == 0 {
 			return
 		}
 		e.mu.Lock()
 		e.stats.CacheHits += cacheHits
 		j.stats.CacheHits += cacheHits
-		e.stats.CheckpointHits += cpHits
-		j.stats.CheckpointHits += cpHits
 		e.stats.LedgerHits += ledHits
 		j.stats.LedgerHits += ledHits
 		e.mu.Unlock()
@@ -799,15 +786,8 @@ func (j *Job) plan(points []Point, waiters []*entry) (toRun []runItem, hits int,
 				return nil, hits, fmt.Errorf("sweep: point %q: %w", p.Key, err)
 			}
 		}
-		// warm resolves a point that something fingerprint-keyed already
-		// completed (checkpoint file or ledger).
+		// warm resolves a point the ledger already holds.
 		warm := func() (*entry, bool) {
-			if e.cp != nil {
-				if res, ok := e.cp.Lookup(fp); ok {
-					cpHits++
-					return resolvedEntry(res), true
-				}
-			}
 			if e.led != nil {
 				if res, ok := e.led.Lookup(fp); ok {
 					ledHits++
@@ -1008,18 +988,6 @@ func (j *Job) execute(ctx context.Context, points []Point) ([]*entry, error) {
 						cancelRun()
 					}
 					return
-				}
-				if e.cp != nil && executed {
-					if cerr := e.cp.add(it.fp, it.p.Key, res); cerr != nil {
-						// A result that cannot be checkpointed breaks the
-						// resume guarantee; fail the point rather than
-						// silently degrade.
-						j.fail(it, fmt.Errorf("sweep: checkpoint write: %w", cerr), true)
-						if !e.keepGoing {
-							cancelRun()
-						}
-						return
-					}
 				}
 				it.en.res = res
 				close(it.en.done)

@@ -8,10 +8,13 @@
 # byte-identical: process count is an execution detail, never a different
 # computation. A second pass kills one worker mid-campaign (the chaos
 # drill) and demands the same bytes again — a crashed worker's claimed
-# points must be re-stolen, not lost. A third pass kills the campaign
-# *server* (cmd/vsvserve, kill -9, no shutdown) mid-job and restarts it on
-# the same durable journal: the interrupted job must resume under its
-# original id and serve the same bytes once more.
+# points must be re-stolen, not lost. A checkpoint drill crashes a
+# single-process `experiments -checkpoint` run mid-append through the
+# ledger.append failpoint; the -resume run must print the same bytes. A
+# final pass kills the campaign *server* (cmd/vsvserve, kill -9, no
+# shutdown) mid-job and restarts it on the same durable journal: the
+# interrupted job must resume under its original id and serve the same
+# bytes once more.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,6 +61,29 @@ $GO build -o "$workdir/experiments" ./cmd/experiments
 echo "campaign-smoke: sequential reference ($EXP)"
 "$workdir/experiments" -exp "$EXP" -warmup "$WARMUP" -instructions "$INSTRUCTIONS" \
 	>"$workdir/seq.txt" 2>/dev/null
+
+echo "campaign-smoke: checkpoint drill (crash experiments -checkpoint mid-append, then -resume)"
+status=0
+VSV_FAILPOINTS=ledger.append=crash@9 "$workdir/experiments" -exp "$EXP" \
+	-warmup "$WARMUP" -instructions "$INSTRUCTIONS" -checkpoint "$workdir/ckpt.jsonl" \
+	>/dev/null 2>"$workdir/ckpt-crash.log" || status=$?
+if [ "$status" -ne 17 ]; then
+	echo "FAIL: checkpointed run exited $status, want the injected crash (17)" >&2
+	cat "$workdir/ckpt-crash.log" >&2
+	exit 1
+fi
+"$workdir/experiments" -exp "$EXP" -warmup "$WARMUP" -instructions "$INSTRUCTIONS" \
+	-checkpoint "$workdir/ckpt.jsonl" -resume >"$workdir/resumed.txt" 2>"$workdir/resume.log"
+grep -q "^resuming: " "$workdir/resume.log" || {
+	echo "FAIL: -resume loaded nothing from the crashed run's checkpoint" >&2
+	cat "$workdir/resume.log" >&2
+	exit 1
+}
+if ! cmp -s "$workdir/seq.txt" "$workdir/resumed.txt"; then
+	echo "FAIL: resumed output differs from the sequential run" >&2
+	diff "$workdir/seq.txt" "$workdir/resumed.txt" >&2 || true
+	exit 1
+fi
 
 echo "campaign-smoke: $PROCS-process campaign"
 "$workdir/vsvcampaign" -exp "$EXP" -procs "$PROCS" \
@@ -152,4 +178,4 @@ kill "$serverpid" 2>/dev/null || true
 wait "$serverpid" 2>/dev/null || true
 serverpid=""
 
-echo "campaign-smoke: OK ($(wc -c <"$workdir/seq.txt") bytes byte-identical sequential, $PROCS-process, post-crash, and post-kill-9 recovery)"
+echo "campaign-smoke: OK ($(wc -c <"$workdir/seq.txt") bytes byte-identical sequential, checkpoint resume, $PROCS-process, post-crash, and post-kill-9 recovery)"
